@@ -257,7 +257,7 @@ impl RpcClient {
         );
         let response = self.exchange(request.as_bytes())?;
         let value = parse(&response.body).map_err(ClientError::Json)?;
-        let got_id = value.get("id").cloned().unwrap_or(Json::Null);
+        let got_id = value.get("id").unwrap_or(&Json::Null);
         let id_matches = got_id.as_u64() == Some(id);
         if let Some(error) = value.get("error") {
             let info = RpcErrorInfo {
@@ -288,7 +288,7 @@ impl RpcClient {
         if !id_matches {
             return Err(ClientError::IdMismatch { sent: id, got: got_id.encode() });
         }
-        value.get("result").cloned().ok_or_else(|| {
+        value.into_field("result").ok_or_else(|| {
             ClientError::Wire(WireError {
                 field: "result".into(),
                 detail: "missing from a non-error response".into(),

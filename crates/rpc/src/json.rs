@@ -19,8 +19,19 @@
 //! * **No `Date`/locale/float-formatting surprises.** The writer uses
 //!   Rust's shortest-round-trip `f64` formatting and emits `null` for
 //!   non-finite floats (JSON has no NaN/Inf).
+//! * **Allocation-light on the hot path.** A request carries a whole graph,
+//!   so per-element work dominates. The writer formats integers through a
+//!   stack buffer and copies the runs between string escapes whole; the
+//!   parser copies string runs whole and accumulates integer tokens of up
+//!   to 19 digits in place. Longer integers and floats still go through
+//!   `str::parse`, so every value is the one `str::parse` would give.
+//! * **Linear in the key count.** Duplicate keys are found through a set
+//!   of key hashes, so a body of many distinct keys cannot make parsing
+//!   quadratic.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::BuildHasher;
 
 /// Maximum nesting depth the parser accepts — deep enough for any real
 /// request, shallow enough that `[[[[…` cannot overflow the stack.
@@ -114,80 +125,117 @@ impl Json {
         matches!(self, Json::Null)
     }
 
-    /// Serializes to a compact JSON string.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+    /// Moves the value of object field `key` out, consuming the object;
+    /// `None` on non-objects and missing keys. The owned counterpart of
+    /// [`get`](Json::get), for taking a subtree without copying it.
+    pub fn into_field(self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => fields.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Serializes to a compact JSON string.
+    pub fn encode(&self) -> String {
+        let mut out = Vec::new();
+        self.write(&mut out);
+        String::from_utf8(out).expect("the writer emits UTF-8")
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::U64(v) => {
-                out.push_str(&v.to_string());
-            }
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::U64(v) => write_decimal(*v, out),
             Json::I64(v) => {
-                out.push_str(&v.to_string());
+                if *v < 0 {
+                    out.push(b'-');
+                }
+                write_decimal(v.unsigned_abs(), out);
             }
             Json::F64(v) => {
                 if v.is_finite() {
                     // Rust's Display for f64 is shortest-round-trip; force a
                     // fraction/exponent marker so the reparse stays F64.
                     let s = v.to_string();
-                    out.push_str(&s);
+                    out.extend_from_slice(s.as_bytes());
                     if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
+                        out.extend_from_slice(b".0");
                     }
                 } else {
-                    out.push_str("null"); // JSON has no NaN/Infinity.
+                    out.extend_from_slice(b"null"); // JSON has no NaN/Infinity.
                 }
             }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.write(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.write(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes `v` in decimal through a stack buffer, not a `String` per number.
+fn write_decimal(mut v: u64, out: &mut Vec<u8>) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.extend_from_slice(&buf[start..]);
+}
+
+/// Writes `s` as a JSON string literal, copying the runs between escapes
+/// whole. Bytes of multi-byte UTF-8 sequences are all ≥ 0x80 and are never
+/// escaped.
+fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let control;
+        let escaped: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => {
+                control = format!("\\u{b:04x}");
+                control.as_bytes()
+            }
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escaped);
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// Why a byte sequence failed to parse as JSON.
@@ -346,6 +394,8 @@ impl<'a> Parser<'a> {
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut fields: Vec<(String, Json)> = Vec::new();
+        // Hashes of every key so far.
+        let mut hashes: HashSet<u64> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -354,7 +404,12 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            // A new hash proves a new key. A repeated one is rare for
+            // distinct keys (the hasher is randomly keyed, so input cannot
+            // aim for collisions) and is settled by a scan.
+            if !hashes.insert(hashes.hasher().hash_one(key.as_str()))
+                && fields.iter().any(|(k, _)| *k == key)
+            {
                 return Err(self.err(JsonErrorKind::DuplicateKey(key)));
             }
             self.skip_ws();
@@ -379,6 +434,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = Vec::new();
         loop {
+            // Copy the run of bytes that need no decoding in one go.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            out.extend_from_slice(&self.input[run..self.pos]);
             match self.peek() {
                 None => return Err(self.err(JsonErrorKind::UnexpectedEnd)),
                 Some(b'"') => {
@@ -407,11 +468,8 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err(JsonErrorKind::BadString)),
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err(JsonErrorKind::BadString)),
-                Some(b) => {
-                    out.push(b);
-                    self.pos += 1;
-                }
+                // A raw control character.
+                Some(_) => return Err(self.err(JsonErrorKind::BadString)),
             }
         }
     }
@@ -460,8 +518,11 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         // Integer part: one digit, or a nonzero digit followed by more.
+        // Accumulated as it is scanned; exact while it has ≤ 19 digits.
         let int_start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut magnitude = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
         let int_digits = self.pos - int_start;
@@ -494,7 +555,18 @@ impl<'a> Parser<'a> {
                 return Err(JsonError { kind: JsonErrorKind::BadNumber, at: start });
             }
         }
-        // The token is valid ASCII by construction.
+        if integral && int_digits <= 19 {
+            // 19 digits stay below 10^19 < u64::MAX, so `magnitude` is exact.
+            if !neg {
+                return Ok(Json::U64(magnitude));
+            }
+            if magnitude <= i64::MIN.unsigned_abs() {
+                return Ok(Json::I64(0i64.wrapping_sub_unsigned(magnitude)));
+            }
+        }
+        // Longer integers, fractions and exponents: the standard parsers
+        // decide (out-of-range integers become floats). The token is valid
+        // ASCII by construction.
         let text =
             std::str::from_utf8(&self.input[start..self.pos]).expect("number token is ASCII");
         if integral {
@@ -506,7 +578,6 @@ impl<'a> Parser<'a> {
                 return Ok(Json::U64(v));
             }
         }
-        // Fraction, exponent, or out of 64-bit integer range.
         match text.parse::<f64>() {
             Ok(v) => Ok(Json::F64(v)),
             Err(_) => Err(JsonError { kind: JsonErrorKind::BadNumber, at: start }),
@@ -591,6 +662,42 @@ mod tests {
         ] {
             let err = parse(text.as_bytes()).expect_err(text);
             assert_eq!(err.kind, kind, "for input {text:?}");
+        }
+    }
+
+    /// `{"k0":0,"k1":1,…}` with `keys` keys, then `tail` before the `}`.
+    fn wide_object(keys: usize, tail: &str) -> String {
+        let mut text = String::from("{");
+        for i in 0..keys {
+            text.push_str(&format!("\"k{i}\":{i},"));
+        }
+        text.push_str(tail);
+        text.push('}');
+        text
+    }
+
+    #[test]
+    fn wide_objects_parse_in_linear_time() {
+        // 100 000 keys: quadratic duplicate detection would take minutes.
+        let text = wide_object(100_000, "\"last\":null");
+        let Json::Obj(fields) = parse(text.as_bytes()).expect("distinct keys") else {
+            panic!("an object");
+        };
+        assert_eq!(fields.len(), 100_001);
+        assert_eq!(fields[99_999], ("k99999".to_string(), Json::U64(99_999)));
+    }
+
+    #[test]
+    fn duplicate_keys_are_found_at_any_width() {
+        // Each duplicate is the object's last key; the error points just
+        // past it. An escaped spelling of a key is the same key.
+        for keys in [1, 2, 17, 100_000] {
+            for dup in ["\"k0\"", "\"\\u006b0\""] {
+                let text = wide_object(keys, &format!("{dup}:0"));
+                let err = parse(text.as_bytes()).expect_err("duplicate");
+                assert_eq!(err.kind, JsonErrorKind::DuplicateKey("k0".into()), "{keys} keys");
+                assert_eq!(err.at, text.len() - 3, "{keys} keys, {dup}");
+            }
         }
     }
 

@@ -43,7 +43,7 @@ use crate::metrics::{health_sample, metric_families, METRICS_CONTENT_TYPE};
 use crate::wire::{
     decode_envelope, decode_generate_params, decode_tenant, decode_update_params, error_object,
     fairgen_error_object, generate_result_to_json, response_envelope, stats_to_json,
-    update_result_to_json, WireLimits,
+    update_result_to_json, WireError, WireLimits,
 };
 
 /// Network front-end policy.
@@ -636,22 +636,14 @@ pub fn handle_rpc_body(
         let e = FairGenError::ServerClosed;
         return (503, response_envelope(&request.id, Err(fairgen_error_object(&e))));
     }
-    match request.method.as_str() {
+    match request.method {
         "generate" | "generate_batch" => {
             let batch = request.method == "generate_batch";
-            let params = match decode_generate_params(&request.params, batch, wire) {
-                Ok(p) => p,
-                Err(e) => {
-                    let err = error_object(codes::INVALID_PARAMS, &e.to_string(), "Params");
-                    return (400, response_envelope(&request.id, Err(err)));
-                }
-            };
-            let tenant = match decode_tenant(&request.params, tenant_header, wire) {
-                Ok(label) => label.map(TenantId::new).unwrap_or_default(),
-                Err(e) => {
-                    let err = error_object(codes::INVALID_PARAMS, &e.to_string(), "Params");
-                    return (400, response_envelope(&request.id, Err(err)));
-                }
+            let decoded = decode_generate_params(request.params, batch, wire)
+                .and_then(|p| Ok((p, request_tenant(request.params, tenant_header, wire)?)));
+            let (params, tenant) = match decoded {
+                Ok(decoded) => decoded,
+                Err(e) => return params_error(&request.id, &e),
             };
             let opts = SubmitOptions {
                 tenant,
@@ -660,78 +652,37 @@ pub fn handle_rpc_body(
                 lane: Some(if batch { Lane::Bulk } else { Lane::Interactive }),
                 deadline: None,
             };
-            let submitted = server.submit_with(
-                Arc::new(params.graph),
-                Arc::new(params.task),
-                params.fit_seed,
-                params.sample_seeds,
-                opts,
-            );
-            let served = match submitted {
-                Ok(pending) => pending.wait(),
-                Err(e) => Err(e),
-            };
-            match served {
-                Ok(response) => (
-                    200,
-                    response_envelope(&request.id, Ok(generate_result_to_json(&response))),
-                ),
-                Err(e) => {
-                    // Application errors stay HTTP 200 per JSON-RPC-over-
-                    // HTTP convention — except closure (503, so load
-                    // balancers drain too) and admission rejection (429, so
-                    // generic clients and proxies back off).
-                    let status = match e {
-                        FairGenError::ServerClosed => 503,
-                        FairGenError::Overloaded { .. } => 429,
-                        _ => 200,
-                    };
-                    (status, response_envelope(&request.id, Err(fairgen_error_object(&e))))
-                }
-            }
+            let served = server
+                .submit_with(
+                    Arc::new(params.graph),
+                    Arc::new(params.task),
+                    params.fit_seed,
+                    params.sample_seeds,
+                    opts,
+                )
+                .and_then(|pending| pending.wait());
+            served_reply(&request.id, served.as_ref().map(generate_result_to_json))
         }
         "update_graph" => {
-            let params = match decode_update_params(&request.params, wire) {
-                Ok(p) => p,
-                Err(e) => {
-                    let err = error_object(codes::INVALID_PARAMS, &e.to_string(), "Params");
-                    return (400, response_envelope(&request.id, Err(err)));
-                }
-            };
-            let tenant = match decode_tenant(&request.params, tenant_header, wire) {
-                Ok(label) => label.map(TenantId::new).unwrap_or_default(),
-                Err(e) => {
-                    let err = error_object(codes::INVALID_PARAMS, &e.to_string(), "Params");
-                    return (400, response_envelope(&request.id, Err(err)));
-                }
+            let decoded = decode_update_params(request.params, wire)
+                .and_then(|p| Ok((p, request_tenant(request.params, tenant_header, wire)?)));
+            let (params, tenant) = match decoded {
+                Ok(decoded) => decoded,
+                Err(e) => return params_error(&request.id, &e),
             };
             // Updates default to the bulk lane in `submit_update`:
             // structural maintenance never preempts interactive draws.
             let opts = SubmitOptions { tenant, lane: None, deadline: None };
-            let submitted = server.submit_update(
-                Arc::new(params.graph),
-                Arc::new(params.task),
-                params.fit_seed,
-                params.delta,
-                opts,
-            );
-            let outcome = match submitted {
-                Ok(pending) => pending.wait(),
-                Err(e) => Err(e),
-            };
-            match outcome {
-                Ok(outcome) => {
-                    (200, response_envelope(&request.id, Ok(update_result_to_json(&outcome))))
-                }
-                Err(e) => {
-                    let status = match e {
-                        FairGenError::ServerClosed => 503,
-                        FairGenError::Overloaded { .. } => 429,
-                        _ => 200,
-                    };
-                    (status, response_envelope(&request.id, Err(fairgen_error_object(&e))))
-                }
-            }
+            let outcome = server
+                .submit_update(
+                    Arc::new(params.graph),
+                    Arc::new(params.task),
+                    params.fit_seed,
+                    params.delta,
+                    opts,
+                )
+                .and_then(|pending| pending.wait());
+            served_reply(&request.id, outcome.as_ref().map(update_result_to_json))
         }
         "stats" => (200, response_envelope(&request.id, Ok(stats_to_json(&server.stats())))),
         other => {
@@ -744,6 +695,40 @@ pub fn handle_rpc_body(
                 "Method",
             );
             (404, response_envelope(&request.id, Err(err)))
+        }
+    }
+}
+
+/// The tenant a job request bills: its `tenant` param, else the header,
+/// else the anonymous default. Callers decode it after the params, so a
+/// request wrong in both reports its params.
+fn request_tenant(
+    params: &Json,
+    tenant_header: Option<&str>,
+    wire: &WireLimits,
+) -> std::result::Result<TenantId, WireError> {
+    Ok(decode_tenant(params, tenant_header, wire)?.map(TenantId::new).unwrap_or_default())
+}
+
+fn params_error(id: &Json, e: &WireError) -> (u16, Json) {
+    let err = error_object(codes::INVALID_PARAMS, &e.to_string(), "Params");
+    (400, response_envelope(id, Err(err)))
+}
+
+/// The reply to a served job. Application errors stay HTTP 200 per
+/// JSON-RPC-over-HTTP convention — except closure (503, so load balancers
+/// drain too) and admission rejection (429, so generic clients and proxies
+/// back off).
+fn served_reply(id: &Json, served: std::result::Result<Json, &FairGenError>) -> (u16, Json) {
+    match served {
+        Ok(result) => (200, response_envelope(id, Ok(result))),
+        Err(e) => {
+            let status = match e {
+                FairGenError::ServerClosed => 503,
+                FairGenError::Overloaded { .. } => 429,
+                _ => 200,
+            };
+            (status, response_envelope(id, Err(fairgen_error_object(e))))
         }
     }
 }

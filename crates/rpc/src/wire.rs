@@ -131,9 +131,45 @@ fn get_usize(params: &Json, field: &str) -> Result<usize, WireError> {
         .map_err(|_| wire_err(field, "does not fit in usize"))
 }
 
-fn node_id(v: &Json, field: &str) -> Result<NodeId, WireError> {
-    let raw = v.as_u64().ok_or_else(|| wire_err(field, "expected an unsigned integer"))?;
-    NodeId::try_from(raw).map_err(|_| wire_err(field, "node id does not fit in u32"))
+// The per-element decoders below return only the detail; their callers
+// build the element's field path (`edges[3]`) when, and only when, there
+// is an error to report.
+
+fn node_id(v: &Json) -> Result<NodeId, &'static str> {
+    let raw = v.as_u64().ok_or("expected an unsigned integer")?;
+    NodeId::try_from(raw).map_err(|_| "node id does not fit in u32")
+}
+
+fn edge_pair(e: &Json) -> Result<(NodeId, NodeId), &'static str> {
+    match e.as_arr().ok_or("expected a [u, v] pair")? {
+        [u, v] => Ok((node_id(u)?, node_id(v)?)),
+        _ => Err("expected exactly two endpoints"),
+    }
+}
+
+fn labeled_pair(e: &Json) -> Result<(NodeId, usize), &'static str> {
+    match e.as_arr().ok_or("expected a [node, class] pair")? {
+        [node, class] => {
+            let node = node_id(node)?;
+            let class = class.as_u64().ok_or("class must be unsigned")?;
+            Ok((node, usize::try_from(class).map_err(|_| "class does not fit in usize")?))
+        }
+        _ => Err("expected exactly [node, class]"),
+    }
+}
+
+/// Decodes every element of `items` with `decode`, naming a failing one
+/// `field[i]`.
+fn elements<T>(
+    items: &[Json],
+    field: &str,
+    decode: impl Fn(&Json) -> Result<T, &'static str>,
+) -> Result<Vec<T>, WireError> {
+    let mut out = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        out.push(decode(item).map_err(|detail| wire_err(format!("{field}[{i}]"), detail))?);
+    }
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -143,10 +179,10 @@ fn node_id(v: &Json, field: &str) -> Result<NodeId, WireError> {
 /// Encodes a graph as `{"n": N, "edges": [[u,v], …]}` (each undirected edge
 /// once, `u < v`, ascending — the iteration order of [`Graph::edges`]).
 pub fn graph_to_json(g: &Graph) -> Json {
-    let edges = g
-        .edges()
-        .map(|(u, v)| Json::Arr(vec![Json::U64(u as u64), Json::U64(v as u64)]))
-        .collect();
+    let mut edges = Vec::with_capacity(g.m());
+    edges.extend(
+        g.edges().map(|(u, v)| Json::Arr(vec![Json::U64(u as u64), Json::U64(v as u64)])),
+    );
     obj(vec![("n", Json::U64(g.n() as u64)), ("edges", Json::Arr(edges))])
 }
 
@@ -155,21 +191,11 @@ pub fn graph_to_json(g: &Graph) -> Json {
 /// is allocated).
 pub fn graph_from_json(v: &Json, limits: &WireLimits) -> Result<Graph, WireError> {
     let n = bounded(get_usize(v, "n")?, limits.max_nodes, "n", "nodes")?;
-    let raw_edges = v
-        .get("edges")
-        .ok_or_else(|| wire_err("edges", "missing"))?
-        .as_arr()
-        .ok_or_else(|| wire_err("edges", "expected an array of [u, v] pairs"))?;
-    bounded(raw_edges.len(), limits.max_edges, "edges", "edges")?;
-    let mut edges = Vec::with_capacity(raw_edges.len());
-    for (i, e) in raw_edges.iter().enumerate() {
-        let field = format!("edges[{i}]");
-        let pair = e.as_arr().ok_or_else(|| wire_err(&field, "expected a [u, v] pair"))?;
-        if pair.len() != 2 {
-            return Err(wire_err(&field, "expected exactly two endpoints"));
-        }
-        edges.push((node_id(&pair[0], &field)?, node_id(&pair[1], &field)?));
-    }
+    let edges = edge_pairs(
+        v.get("edges").ok_or_else(|| wire_err("edges", "missing"))?,
+        "edges",
+        limits,
+    )?;
     Graph::try_from_edges(n, &edges).map_err(|e| wire_err("edges", e.to_string()))
 }
 
@@ -212,21 +238,7 @@ pub fn task_from_json(v: &Json, limits: &WireLimits) -> Result<TaskSpec, WireErr
         .ok_or_else(|| wire_err("labeled", "missing"))?
         .as_arr()
         .ok_or_else(|| wire_err("labeled", "expected an array of [node, class] pairs"))?;
-    let mut labeled = Vec::with_capacity(raw_labeled.len());
-    for (i, pair) in raw_labeled.iter().enumerate() {
-        let field = format!("labeled[{i}]");
-        let pair =
-            pair.as_arr().ok_or_else(|| wire_err(&field, "expected a [node, class] pair"))?;
-        if pair.len() != 2 {
-            return Err(wire_err(&field, "expected exactly [node, class]"));
-        }
-        let node = node_id(&pair[0], &field)?;
-        let class = usize::try_from(
-            pair[1].as_u64().ok_or_else(|| wire_err(&field, "class must be unsigned"))?,
-        )
-        .map_err(|_| wire_err(&field, "class does not fit in usize"))?;
-        labeled.push((node, class));
-    }
+    let labeled = elements(raw_labeled, "labeled", labeled_pair)?;
     let num_classes =
         bounded(get_usize(v, "num_classes")?, limits.max_nodes, "num_classes", "classes")?;
     let protected = match v.get("protected") {
@@ -242,15 +254,13 @@ pub fn task_from_json(v: &Json, limits: &WireLimits) -> Result<TaskSpec, WireErr
                 .ok_or_else(|| wire_err("protected.members", "missing"))?
                 .as_arr()
                 .ok_or_else(|| wire_err("protected.members", "expected an array"))?;
-            let mut members = Vec::with_capacity(raw.len());
-            for (i, m) in raw.iter().enumerate() {
-                let field = format!("protected.members[{i}]");
-                let id = node_id(m, &field)?;
+            let members = elements(raw, "protected.members", |m| {
+                let id = node_id(m)?;
                 if id as usize >= universe {
-                    return Err(wire_err(&field, "member outside the declared universe"));
+                    return Err("member outside the declared universe");
                 }
-                members.push(id);
-            }
+                Ok(id)
+            })?;
             Some(NodeSet::from_members(universe, &members))
         }
     };
@@ -261,22 +271,27 @@ pub fn task_from_json(v: &Json, limits: &WireLimits) -> Result<TaskSpec, WireErr
 // RPC envelope
 // ---------------------------------------------------------------------------
 
-/// A decoded JSON-RPC request envelope.
+/// A decoded JSON-RPC request envelope, borrowing `method` and `params`
+/// from the parsed body (the params tree carries the whole graph and is
+/// never copied).
 #[derive(Clone, Debug)]
-pub struct RpcRequest {
+pub struct RpcRequest<'a> {
     /// The request id, echoed verbatim in the response (`Json::Null` when
-    /// the client sent none).
+    /// the client sent none). Validated to be a scalar before it is copied.
     pub id: Json,
     /// The method name.
-    pub method: String,
+    pub method: &'a str,
     /// The params object (`Json::Null` when absent).
-    pub params: Json,
+    pub params: &'a Json,
 }
+
+/// What an absent `params` reads as.
+static NO_PARAMS: Json = Json::Null;
 
 /// Decodes and validates the envelope: must be an object with a string
 /// `method`; `jsonrpc`, when present, must be `"2.0"`; `id`, when present,
 /// must be a string, number, or null (per JSON-RPC 2.0).
-pub fn decode_envelope(v: &Json) -> Result<RpcRequest, WireError> {
+pub fn decode_envelope(v: &Json) -> Result<RpcRequest<'_>, WireError> {
     if !matches!(v, Json::Obj(_)) {
         return Err(wire_err("request", "expected a JSON object"));
     }
@@ -289,13 +304,15 @@ pub fn decode_envelope(v: &Json) -> Result<RpcRequest, WireError> {
         .get("method")
         .ok_or_else(|| wire_err("method", "missing"))?
         .as_str()
-        .ok_or_else(|| wire_err("method", "expected a string"))?
-        .to_string();
-    let id = v.get("id").cloned().unwrap_or(Json::Null);
-    if !matches!(id, Json::Null | Json::Str(_) | Json::U64(_) | Json::I64(_) | Json::F64(_)) {
-        return Err(wire_err("id", "expected a string, number, or null"));
-    }
-    let params = v.get("params").cloned().unwrap_or(Json::Null);
+        .ok_or_else(|| wire_err("method", "expected a string"))?;
+    let id = match v.get("id") {
+        None => Json::Null,
+        Some(id @ (Json::Null | Json::Str(_) | Json::U64(_) | Json::I64(_) | Json::F64(_))) => {
+            id.clone()
+        }
+        Some(_) => return Err(wire_err("id", "expected a string, number, or null")),
+    };
+    let params = v.get("params").unwrap_or(&NO_PARAMS);
     Ok(RpcRequest { id, method, params })
 }
 
@@ -335,14 +352,7 @@ pub fn decode_generate_params(
             .ok_or_else(|| wire_err("sample_seeds", "missing"))?
             .as_arr()
             .ok_or_else(|| wire_err("sample_seeds", "expected an array of unsigned seeds"))?;
-        raw.iter()
-            .enumerate()
-            .map(|(i, s)| {
-                s.as_u64().ok_or_else(|| {
-                    wire_err(format!("sample_seeds[{i}]"), "expected an unsigned integer")
-                })
-            })
-            .collect::<Result<Vec<u64>, WireError>>()?
+        elements(raw, "sample_seeds", |s| s.as_u64().ok_or("expected an unsigned integer"))?
     } else {
         vec![get_u64(params, "sample_seed")?]
     };
@@ -384,16 +394,7 @@ fn edge_pairs(
 ) -> Result<Vec<(NodeId, NodeId)>, WireError> {
     let raw = v.as_arr().ok_or_else(|| wire_err(field, "expected an array of [u, v] pairs"))?;
     bounded(raw.len(), limits.max_edges, field, "edges")?;
-    let mut pairs = Vec::with_capacity(raw.len());
-    for (i, e) in raw.iter().enumerate() {
-        let item = format!("{field}[{i}]");
-        let pair = e.as_arr().ok_or_else(|| wire_err(&item, "expected a [u, v] pair"))?;
-        if pair.len() != 2 {
-            return Err(wire_err(&item, "expected exactly two endpoints"));
-        }
-        pairs.push((node_id(&pair[0], &item)?, node_id(&pair[1], &item)?));
-    }
-    Ok(pairs)
+    elements(raw, field, edge_pair)
 }
 
 fn edges_to_json(pairs: &[(NodeId, NodeId)]) -> Json {

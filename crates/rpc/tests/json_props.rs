@@ -1,7 +1,8 @@
 //! Malformed-input property tests for the vendored JSON module: arbitrary
 //! byte soup, truncations of valid documents, and random value trees must
 //! never panic — every failure is a typed [`JsonError`] — and
-//! encode → parse is the identity on every generatable value.
+//! encode → parse is the identity on every generatable value. Number
+//! tokens must parse to exactly the value `str::parse` gives them.
 
 use fairgen_rpc::json::{parse, Json};
 use proptest::collection::vec;
@@ -54,7 +55,81 @@ fn build_json(draws: &[u64], cursor: &mut usize, depth: usize) -> Json {
     }
 }
 
+/// The number classification the parser promises, built on `str::parse`:
+/// an integral token is `U64` (unsigned) or `I64` (negative) when it fits,
+/// and anything else is the `F64` that `str::parse::<f64>` reads.
+fn reference_number(token: &str) -> Json {
+    let integral = !token.contains(['.', 'e', 'E']);
+    if integral {
+        if token.starts_with('-') {
+            if let Ok(v) = token.parse::<i64>() {
+                return Json::I64(v);
+            }
+        } else if let Ok(v) = token.parse::<u64>() {
+            return Json::U64(v);
+        }
+    }
+    Json::F64(token.parse::<f64>().expect("reference token is a valid float"))
+}
+
+fn assert_number_matches_reference(token: &str) {
+    assert_eq!(parse(token.as_bytes()), Ok(reference_number(token)), "token {token}");
+}
+
+#[test]
+fn integer_edge_tokens_match_str_parse() {
+    for token in [
+        "0",
+        "-0",
+        "7",
+        "-7",
+        "999999999999999999",   // 18 digits
+        "9999999999999999999",  // 19 digits, fits u64
+        "-999999999999999999",  // 18 digits
+        "-9999999999999999999", // 19 digits, below i64::MIN
+        "10000000000000000000", // 20 digits, fits u64
+        "99999999999999999999", // 20 digits, above u64::MAX
+        "18446744073709551615", // u64::MAX
+        "18446744073709551616", // u64::MAX + 1
+        "9223372036854775807",  // i64::MAX
+        "9223372036854775808",  // i64::MAX + 1, still a u64
+        "-9223372036854775808", // i64::MIN
+        "-9223372036854775809", // i64::MIN - 1
+        "123456789012345678901234567890",
+        "-123456789012345678901234567890",
+        "-0.0",
+        "1.5e300",
+        "2E-3",
+    ] {
+        assert_number_matches_reference(token);
+    }
+}
+
 proptest! {
+    #[test]
+    fn u64_tokens_match_str_parse(v in any::<u64>(), shift in 0u32..64) {
+        assert_number_matches_reference(&(v >> shift).to_string());
+    }
+
+    #[test]
+    fn i64_tokens_match_str_parse(v in any::<i64>(), shift in 0u32..64) {
+        assert_number_matches_reference(&(v >> shift).to_string());
+    }
+
+    #[test]
+    fn long_digit_runs_match_str_parse(
+        digits in vec(0u8..10, 1..26),
+        negative in any::<bool>(),
+    ) {
+        // No leading zero (JSON forbids it where `str::parse` would not).
+        let mut token = String::from(if negative { "-" } else { "" });
+        for (i, &d) in digits.iter().enumerate() {
+            let d = if i == 0 && digits.len() > 1 { d.max(1) } else { d };
+            token.push(char::from(b'0' + d));
+        }
+        assert_number_matches_reference(&token);
+    }
+
     #[test]
     fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..256)) {
         // Ok or typed Err — reaching this line at all is the property.
